@@ -224,23 +224,22 @@ def test_vectorized_million_node_epoch(benchmark):
 
 
 # --------------------------------------------------------------------------- #
-# Sharded backend: bit-identical to the single-process batched engine
+# Vectorized engine: bit-identical to the batched engine at scale
 # --------------------------------------------------------------------------- #
-SHARDED_N = min(10_000, max(SIZES)) if SMOKE else 10_000
-SHARDED_EPOCHS = 4
+VECTORIZED_N = min(10_000, max(SIZES)) if SMOKE else 10_000
+VECTORIZED_EPOCHS = 4
 
 
-def test_sharded_ledger_identity(benchmark):
-    """Per-epoch ledger merges leave the sharded backend bit-identical.
+def test_vectorized_ledger_identity(benchmark):
+    """The vectorized streaming engine stays bit-identical at n = 10,000.
 
-    Twin networks at n = 10,000 run the same drift stream, one under the
-    single-process batched engine and one under ``execution="sharded"`` with
-    fork workers; the merged worker ledgers must reproduce the batched
-    ledger exactly — per-node bits, totals, messages, rounds and
-    per-protocol breakdowns.  The sharded run's ``shard.sweep`` /
-    ``shard.merge`` spans land in the BENCH_scale.json phase table.
+    Twin networks run the same update stream, one under the batched
+    :class:`ContinuousQueryEngine` and one under ``execution="vectorized"``;
+    the vectorized ledger must reproduce the batched ledger exactly —
+    per-node bits, totals, messages, rounds and per-protocol breakdowns.
+    The vectorized run's spans land in the BENCH_scale.json phase table.
     """
-    pytest.importorskip("numpy", reason="the sharded backend needs the fast extra")
+    pytest.importorskip("numpy", reason="the vectorized engine needs the fast extra")
 
     import random
 
@@ -252,7 +251,7 @@ def test_sharded_ledger_identity(benchmark):
 
     def build(execution, telemetry=None):
         network = SensorNetwork.from_items(
-            [0] * SHARDED_N,
+            [0] * VECTORIZED_N,
             topology="random_geometric",
             seed=0,
             execution=execution,
@@ -262,35 +261,33 @@ def test_sharded_ledger_identity(benchmark):
 
     def run_twins():
         batched_net = build("batched")
-        sharded_net = build("sharded", telemetry=tracer)
+        vector_net = build("vectorized", telemetry=tracer)
         engines = [
             ContinuousQueryEngine(batched_net, epsilon=0.1),
-            VectorStreamEngine(sharded_net, epsilon=0.1, shard_processes=2),
+            VectorStreamEngine(vector_net, epsilon=0.1),
         ]
         rng_state = random.Random(17)
         epochs = []
-        for _ in range(SHARDED_EPOCHS):
+        for _ in range(VECTORIZED_EPOCHS):
             updates = {
-                rng_state.randrange(SHARDED_N): [
+                rng_state.randrange(VECTORIZED_N): [
                     rng_state.randrange(100)
                     for _ in range(rng_state.randrange(4))
                 ]
-                for _ in range(SHARDED_N // 20)
+                for _ in range(VECTORIZED_N // 20)
             }
             epochs.append(updates)
         for engine in engines:
             engine.register("count", CountQuery())
             for updates in epochs:
                 engine.advance_epoch(dict(updates))
-            if hasattr(engine, "close"):
-                engine.close()
-        return batched_net, sharded_net
+        return batched_net, vector_net
 
     started = time.perf_counter()
-    batched_net, sharded_net = run_once(benchmark, run_twins)
+    batched_net, vector_net = run_once(benchmark, run_twins)
     elapsed = time.perf_counter() - started
     left = batched_net.ledger.snapshot()
-    right = sharded_net.ledger.snapshot()
+    right = vector_net.ledger.snapshot()
     identical = (
         left.per_node_bits == right.per_node_bits
         and left.total_bits == right.total_bits
@@ -299,21 +296,26 @@ def test_sharded_ledger_identity(benchmark):
         and left.rounds == right.rounds
         and left.per_protocol_bits == right.per_protocol_bits
     )
-    assert identical, "sharded ledger diverged from the batched reference"
 
     print()
     print(format_table(
         ["N", "epochs", "total bits", "ledgers equal"],
-        [[SHARDED_N, SHARDED_EPOCHS, left.total_bits, identical]],
-        title="E13  sharded backend: merged worker ledgers vs batched",
+        [[VECTORIZED_N, VECTORIZED_EPOCHS, left.total_bits, identical]],
+        title="E13  vectorized engine: ledger vs batched",
     ))
     emit_bench_json(
         "scale",
-        n=SHARDED_N,
+        n=VECTORIZED_N,
         wall_clock_s=elapsed,
         bits=left.total_bits,
-        metrics={"sharded_ledger_identity": {"value": 1.0, "floor": 1.0}},
+        metrics={
+            "vectorized_ledger_identity": {
+                "value": 1.0 if identical else 0.0,
+                "floor": 1.0,
+            }
+        },
         phases=phases_from_tracer(tracer) or None,
     )
     if tracer.spans:
-        emit_telemetry_jsonl("scale_sharded", tracer)
+        emit_telemetry_jsonl("scale_vectorized_stream", tracer)
+    assert identical, "vectorized ledger diverged from the batched reference"

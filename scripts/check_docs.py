@@ -5,7 +5,7 @@ Run from anywhere::
 
     python scripts/check_docs.py
 
-Three checks, all cheap and all fatal on failure:
+Four checks, all cheap and all fatal on failure:
 
 1. every relative markdown link in ``README.md`` and ``docs/*.md`` points
    at a file that exists (anchors are stripped; external URLs skipped);
@@ -17,7 +17,8 @@ Three checks, all cheap and all fatal on failure:
    ```` `sweep:<name>` ```` token resolves to a builtin spec that expands
    to a non-empty run matrix, so the sweeps guide cannot document a spec
    that no longer exists (and the builtins are smoke-expanded on every
-   docs build).
+   docs build);
+4. the version in ``pyproject.toml`` equals ``repro.__version__``.
 
 CI runs this in the ``docs`` job next to smoke-running every example.
 """
@@ -31,6 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 SWEEP_REF = re.compile(r"`sweep:([A-Za-z0-9_-]+)`")
+VERSION = re.compile(r'^(?:__)?version(?:__)? = "([^"]+)"', re.MULTILINE)
 
 
 def doc_files() -> list[Path]:
@@ -130,8 +132,27 @@ def check_sweep_specs() -> list[str]:
     return failures
 
 
+def check_version() -> list[str]:
+    """The package metadata and ``repro.__version__`` must agree."""
+    found = {}
+    for path in ("pyproject.toml", "src/repro/__init__.py"):
+        match = VERSION.search((ROOT / path).read_text(encoding="utf-8"))
+        found[path] = match.group(1) if match else None
+    if len(set(found.values())) != 1 or None in found.values():
+        return [
+            "version drift: "
+            + ", ".join(f"{path} says {version}" for path, version in found.items())
+        ]
+    return []
+
+
 def main() -> int:
-    failures = check_links() + check_architecture_mentions() + check_sweep_specs()
+    failures = (
+        check_links()
+        + check_architecture_mentions()
+        + check_sweep_specs()
+        + check_version()
+    )
     modules = public_modules()
     sweeps = sweep_references()
     links = sum(
@@ -146,7 +167,8 @@ def main() -> int:
     print(
         f"docs check ok: {links} links across {len(doc_files())} documents "
         f"resolve, all {len(modules)} public modules mentioned in "
-        f"docs/ARCHITECTURE.md, {len(sweeps)} documented sweep spec(s) expand"
+        f"docs/ARCHITECTURE.md, {len(sweeps)} documented sweep spec(s) expand, "
+        f"versions agree"
     )
     return 0
 

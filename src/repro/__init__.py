@@ -161,7 +161,7 @@ from repro.tenancy import (
     TenantLedgerSplit,
 )
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "ApproximateMedianProtocol",

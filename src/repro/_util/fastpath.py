@@ -1,8 +1,8 @@
 """Optional-numpy gate for the vectorized execution paths.
 
 numpy is an *optional* dependency (the ``fast`` extra in ``pyproject.toml``):
-every protocol keeps a pure-Python implementation, and the vectorized /
-sharded execution paths are accelerations layered on top.  This module is
+every protocol keeps a pure-Python implementation, and the vectorized
+execution path is an acceleration layered on top.  This module is
 the one place that decides whether numpy is available, so
 
 * the import guard is written once instead of per-module, and

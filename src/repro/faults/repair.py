@@ -1161,9 +1161,8 @@ def attached_mask_vectorized(flat, alive):
     whole-array pass per tree level, O(n) total, no per-node Python.
 
     Returns a new boolean mask; ``alive`` is not modified.  The in-tree
-    repair machinery is unaffected — under ``execution`` modes
-    ``"vectorized"`` and ``"sharded"`` the :class:`TreeRepair` dispatch
-    routes to the batched implementation, whose ledger is the reference.
+    repair machinery is unaffected — under ``execution="vectorized"`` the
+    :class:`TreeRepair` dispatch routes to the batched implementation, whose ledger is the reference.
     """
     from repro._util.fastpath import require_numpy
 

@@ -727,33 +727,6 @@ class ArrayLedger(CommunicationLedger):
         for mark in self._marks:
             mark.rebase(total_bits=0, messages=0, rounds=0)
 
-    def merge(self, other: CommunicationLedger) -> None:
-        """Accumulate ``other`` — an :class:`ArrayLedger` over the same id
-        space, or a dict-backed ledger whose ids fall inside it."""
-        self._totals_dirty = True
-        if isinstance(other, ArrayLedger):
-            if other._num_nodes > self._num_nodes:
-                raise ConfigurationError(
-                    f"cannot merge a {other._num_nodes}-node ArrayLedger into "
-                    f"a {self._num_nodes}-node one"
-                )
-            span = other._num_nodes
-            self._bits_sent[:span] += other._bits_sent
-            self._bits_received[:span] += other._bits_received
-            self._msgs_sent[:span] += other._msgs_sent
-            self._msgs_received[:span] += other._msgs_received
-        else:
-            for node, traffic in other._per_node.items():
-                self._bits_sent[node] += traffic.bits_sent
-                self._bits_received[node] += traffic.bits_received
-                self._msgs_sent[node] += traffic.messages_sent
-                self._msgs_received[node] += traffic.messages_received
-        for protocol, bits in other._per_protocol_bits.items():
-            self._per_protocol_bits[protocol] += bits
-        self._messages += other._messages
-        self._rounds += other._rounds
-        self._total_bits += other._total_bits
-
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         return (
             f"ArrayLedger(nodes={self._num_nodes}, "

@@ -56,13 +56,12 @@ from repro.telemetry.recorder import NULL_RECORDER, TelemetryRecorder, as_record
 #: Valid values of :attr:`SensorNetwork.execution`.
 #:
 #: ``"batched"`` and ``"per-edge"`` select the charging path of the generic
-#: tree protocols.  ``"vectorized"`` and ``"sharded"`` additionally make the
-#: streaming layer run its fused numpy epoch pipeline
-#: (:class:`repro.streaming.vector_engine.VectorStreamEngine`) — single
-#: process or subtree-sharded multiprocessing respectively; generic one-shot
-#: protocols treat both exactly like ``"batched"``, so every mode stays
-#: bit-for-bit ledger-identical.
-EXECUTION_MODES = ("batched", "per-edge", "vectorized", "sharded")
+#: tree protocols.  ``"vectorized"`` additionally makes the streaming layer
+#: run its fused numpy epoch pipeline
+#: (:class:`repro.streaming.vector_engine.VectorStreamEngine`); generic
+#: one-shot protocols treat it exactly like ``"batched"``, so every mode
+#: stays bit-for-bit ledger-identical.
+EXECUTION_MODES = ("batched", "per-edge", "vectorized")
 
 
 class SensorNetwork:
@@ -174,10 +173,9 @@ class SensorNetwork:
         """Which execution path protocols use — one of :data:`EXECUTION_MODES`.
 
         ``"batched"`` (default) charges whole sweeps at once; ``"per-edge"``
-        is the simple reference implementation.  ``"vectorized"`` and
-        ``"sharded"`` opt the streaming layer into the fused numpy epoch
-        pipeline (single-process, or subtree-sharded worker processes);
-        generic tree protocols treat them like ``"batched"``.  Every mode
+        is the simple reference implementation.  ``"vectorized"`` opts the
+        streaming layer into the fused numpy epoch pipeline; generic tree
+        protocols treat it like ``"batched"``.  Every mode
         produces bit-for-bit identical ledgers (enforced by the equivalence
         test-suites).
         """

@@ -25,9 +25,9 @@ active nodes of a round in ascending id order (the round engine's iteration
 order), so ledgers — including lossy-radio retries — are bit-for-bit
 identical.
 
-The ``"vectorized"`` and ``"sharded"`` execution modes fall through to the
-batched path here (this module's ``decide`` callback is inherently
-per-node); their whole-array twin of this traversal — same level schedule,
+The ``"vectorized"`` execution mode falls through to the batched path here
+(this module's ``decide`` callback is inherently per-node); its whole-array
+twin of this traversal — same level schedule,
 same charge order, no callback — is
 :func:`repro.streaming.vector_kernels.sweep_levels`, which the
 count-specialised :class:`~repro.streaming.vector_engine.VectorStreamEngine`

@@ -29,8 +29,7 @@ This module is the *reference* implementation: per-node Python state, one
 ``decide`` callback per active node, any summary type.  For count-valued
 queries at production scale, :mod:`repro.streaming.vector_engine` provides
 :class:`~repro.streaming.vector_engine.VectorStreamEngine`, a drop-in
-subclass that runs the same epoch as whole-array level sweeps (and, under
-``execution="sharded"``, fans subtrees out to worker processes) while
+subclass that runs the same epoch as whole-array level sweeps while
 staying bit-for-bit ledger-identical;
 :func:`~repro.streaming.vector_engine.engine_for` picks the right engine
 for a network's execution mode.

@@ -1,4 +1,4 @@
-"""Vectorized and sharded execution of the continuous-query engine.
+"""Vectorized execution of the continuous-query engine.
 
 :class:`VectorStreamEngine` is a drop-in :class:`ContinuousQueryEngine`
 for *count-valued* standing queries (COUNT / COUNTP): same constructor,
@@ -25,16 +25,6 @@ ingredients:
 * repairs re-synchronize the columns with the same eviction rules the
   reference applies to its dicts (:meth:`apply_repair`,
   :meth:`apply_root_change`).
-
-When ``network.execution == "sharded"`` the sweep fans out over subtree
-shards (:mod:`repro.network.sharding`): each worker process runs the same
-kernel over its shard slice against a private ledger, and the parent folds
-the results back with **one** ledger merge per query per epoch — spans
-``shard.sweep`` and ``shard.merge`` record the fan-out in the telemetry
-phase breakdown.  Sharded execution requires perfect links
-(:class:`~repro.network.radio.ReliableRadio`): a seeded lossy radio is a
-single RNG stream, which cannot be split across processes and stay
-bit-identical.
 """
 
 from __future__ import annotations
@@ -44,7 +34,6 @@ from dataclasses import dataclass, field
 from repro._util.fastpath import np, require_numpy
 from repro.exceptions import ConfigurationError
 from repro.network.energy import EnergyModel
-from repro.network.radio import ReliableRadio
 from repro.network.simulator import SensorNetwork
 from repro.protocols.broadcast import broadcast
 from repro.protocols.epoch_convergecast import EpochStats
@@ -72,15 +61,18 @@ class _VectorQueryState:
 
 @dataclass
 class _EvictionLog:
-    """Cache values of rows dropped by a re-alignment, keyed by node id.
+    """Cache values of rows dropped by a re-alignment.
 
     The reference engine stores a child's cached summary *in the parent's
     dict*, so it survives the child's removal until ``child_losses`` evicts
     it.  The vectorized engine stores it in the child's row; when a repair
-    drops that row before the eviction runs, the value is parked here.
+    drops that row before the eviction runs, the value is parked here, keyed
+    by ``(holder id, child id)`` where the holder is the child's parent at
+    drop time.  Only an eviction from that holder consumes the entry, and
+    the entry dies with the holder's own row.
     """
 
-    by_query: dict[str, dict[int, int]] = field(default_factory=dict)
+    by_query: dict[str, dict[tuple[int, int], int]] = field(default_factory=dict)
 
 
 class VectorStreamEngine(ContinuousQueryEngine):
@@ -91,18 +83,12 @@ class VectorStreamEngine(ContinuousQueryEngine):
         network: SensorNetwork,
         epsilon: float = 0.1,
         energy_model: EnergyModel | None = None,
-        *,
-        shards: int = 4,
-        shard_processes: int | None = None,
     ) -> None:
         require_numpy("VectorStreamEngine")
         super().__init__(network, epsilon, energy_model)
         self._flat = None
         self._pos_table = None
         self._dropped = _EvictionLog()
-        self._shards = shards
-        self._shard_processes = shard_processes
-        self._shard_runner = None
         self._realign()
 
     # ------------------------------------------------------------------ #
@@ -140,15 +126,28 @@ class VectorStreamEngine(ContinuousQueryEngine):
             surviving = np.zeros(self._flat.num_nodes, dtype=bool)
             surviving[carried_from] = True
             dropped_pos = np.flatnonzero(~surviving)
+            dropped_ids = set(old_ids[dropped_pos].tolist())
+            old_parent = self._flat.parent
             for name, state in self._queries.items():
                 old = state.state
                 if dropped_pos.size:
-                    parked = self._dropped.by_query.setdefault(name, {})
+                    # A dropped holder's child_sum is gone with its row, so
+                    # nothing it held may be subtracted again later.
+                    parked = {
+                        key: value
+                        for key, value in self._dropped.by_query.get(name, {}).items()
+                        if key[0] not in dropped_ids
+                    }
                     cached = dropped_pos[old.has_delivered[dropped_pos]]
                     for position in cached.tolist():
-                        parked[int(old_ids[position])] = int(
-                            old.last_delivered[position]
-                        )
+                        # Only non-root rows ever hold a delivery, so the
+                        # parent position is a real row.
+                        holder = int(old_ids[old_parent[position]])
+                        if holder not in dropped_ids:
+                            parked[(holder, int(old_ids[position]))] = int(
+                                old.last_delivered[position]
+                            )
+                    self._dropped.by_query[name] = parked
                 fresh = SweepState.zeros(flat.num_nodes)
                 for column in SweepState.COLUMNS:
                     getattr(fresh, column)[carried] = getattr(old, column)[
@@ -160,7 +159,6 @@ class VectorStreamEngine(ContinuousQueryEngine):
                 state.tracked = tracked
         self._flat = flat
         self._pos_table = table
-        self._shard_runner = None  # shard plans are per-tree
 
     def _pos_of(self, node_id: int) -> int:
         if 0 <= node_id < self._pos_table.size:
@@ -288,7 +286,11 @@ class VectorStreamEngine(ContinuousQueryEngine):
         self._record_evictions(result)
 
     def _evict_child_cache(
-        self, columns: SweepState, parked: dict[int, int], parent_pos: int, child_id: int
+        self,
+        columns: SweepState,
+        parked: dict[tuple[int, int], int],
+        parent_pos: int,
+        child_id: int,
     ) -> None:
         """Drop the parent's cached copy of ``child_id``'s last delivery."""
         child_pos = self._pos_of(child_id)
@@ -296,8 +298,9 @@ class VectorStreamEngine(ContinuousQueryEngine):
             columns.child_sum[parent_pos] -= columns.last_delivered[child_pos]
             columns.last_delivered[child_pos] = 0
             columns.has_delivered[child_pos] = False
-        elif child_id in parked:
-            columns.child_sum[parent_pos] -= parked.pop(child_id)
+        else:
+            holder = int(self._flat.node_ids[parent_pos])
+            columns.child_sum[parent_pos] -= parked.pop((holder, child_id), 0)
 
     # ------------------------------------------------------------------ #
     # Epoch internals (the inherited advance_epoch drives these)
@@ -351,36 +354,7 @@ class VectorStreamEngine(ContinuousQueryEngine):
         active = np.zeros(flat.num_nodes, dtype=bool)
         active[positions] = True
         deepest = int(flat.depth[positions].max())
-        slack = self._slack(state)
         protocol = f"{self.protocol_prefix}:{name}"
-        if self.network.execution == "sharded":
-            stats = self._run_sharded(
-                columns, active, deepest, slack, protocol
-            )
-        else:
-            stats = self._run_inprocess(
-                columns, active, deepest, slack, protocol
-            )
-        telemetry = self.network.telemetry
-        if telemetry.enabled:
-            telemetry.count(
-                "sweep.epochs", 1, protocol=protocol, path=self.network.execution
-            )
-            telemetry.count("sweep.rounds", stats.rounds, protocol=protocol)
-            telemetry.count("sweep.activated", stats.activated, protocol=protocol)
-            telemetry.count(
-                "sweep.transmissions", stats.transmissions, protocol=protocol
-            )
-            telemetry.count(
-                "sweep.suppressions", stats.suppressions, protocol=protocol
-            )
-        return stats
-
-    def _run_inprocess(
-        self, columns: SweepState, active, deepest: int, slack: float, protocol: str
-    ) -> EpochStats:
-        flat = self._flat
-        node_ids = flat.node_ids
         network = self.network
 
         def charge(tx_pos, tx_par, sizes):
@@ -399,114 +373,28 @@ class VectorStreamEngine(ContinuousQueryEngine):
             level_spans=[flat.level_spans[depth] for depth in range(deepest, -1, -1)],
             state=columns,
             active=active,
-            slack=slack,
+            slack=self._slack(state),
             charge=charge,
             advance_round=network.ledger.advance_round,
         )
-        return EpochStats(
+        stats = EpochStats(
             rounds=deepest + 1,
             activated=result.activated,
             transmissions=result.transmissions,
             suppressions=result.suppressions,
         )
-
-    # ------------------------------------------------------------------ #
-    # Sharded execution
-    # ------------------------------------------------------------------ #
-    def _ensure_shard_runner(self):
-        if self._shard_runner is None:
-            from repro.network.sharding import ShardRunner, build_shard_plan
-
-            plan = build_shard_plan(self._flat, self._shards)
-            if plan is not None:
-                self._shard_runner = ShardRunner(
-                    plan, processes=self._shard_processes
-                )
-        return self._shard_runner
-
-    def _run_sharded(
-        self, columns: SweepState, active, deepest: int, slack: float, protocol: str
-    ) -> EpochStats:
-        network = self.network
-        if type(network.radio) is not ReliableRadio:
-            raise ConfigurationError(
-                "sharded execution requires ReliableRadio: a seeded lossy "
-                "radio is one RNG stream and cannot be split across workers"
-            )
-        if network.ledger.per_node_budget_bits is not None:
-            raise ConfigurationError(
-                "sharded execution does not support per-node bit budgets"
-            )
-        runner = self._ensure_shard_runner()
-        if runner is None:  # degenerate tree: nothing below the root
-            return self._run_inprocess(columns, active, deepest, slack, protocol)
-
         telemetry = network.telemetry
-        with telemetry.span("shard.sweep", shards=len(runner.plan.shards)) as span:
-            results = runner.sweep(
-                columns, active, deepest=deepest, slack=slack, protocol=protocol
+        if telemetry.enabled:
+            telemetry.count("sweep.epochs", 1, protocol=protocol, path=network.execution)
+            telemetry.count("sweep.rounds", stats.rounds, protocol=protocol)
+            telemetry.count("sweep.activated", stats.activated, protocol=protocol)
+            telemetry.count(
+                "sweep.transmissions", stats.transmissions, protocol=protocol
             )
-            if telemetry.enabled:
-                # Per-worker breakdown, keyed by shard id, so attribution
-                # can be sliced per shard instead of one opaque fan-out.
-                span.annotate(
-                    dispatched=len(results),
-                    shard_nodes={
-                        str(shard.index): int(shard.positions.size)
-                        for shard, _ in results
-                    },
-                    shard_bits={
-                        str(shard.index): int(outcome.ledger.total_bits)
-                        for shard, outcome in results
-                    },
-                )
-        activated = transmissions = suppressions = 0
-        external_delta = 0
-        external_count = 0
-        combined = None
-        for shard, outcome in results:
-            columns.scatter(shard.positions, outcome.state)
-            active[shard.positions] = outcome.active
-            activated += outcome.result.activated
-            transmissions += outcome.result.transmissions
-            suppressions += outcome.result.suppressions
-            external_delta += outcome.result.external_delta
-            external_count += outcome.result.external_count
-            if combined is None:
-                combined = outcome.ledger
-            else:
-                combined.merge(outcome.ledger)
-        with telemetry.span("shard.merge") as span:
-            if combined is not None:
-                network.ledger.merge(combined)
-                if telemetry.enabled:
-                    span.annotate(
-                        bits=combined.total_bits,
-                        messages=combined.total_messages,
-                        shards=len(results),
-                    )
-        # The root's own turn: deliveries from shard tops landed as one
-        # summed delta; the root merges and never transmits.
-        if external_count:
-            columns.child_sum[0] += external_delta
-            active[0] = True
-        if active[0]:
-            activated += 1
-            columns.subtree_val[0] = columns.local[0] + columns.child_sum[0]
-            columns.has_subtree[0] = True
-        network.ledger.advance_round(deepest + 1)
-        return EpochStats(
-            rounds=deepest + 1,
-            activated=activated,
-            transmissions=transmissions,
-            suppressions=suppressions,
-        )
-
-    def close(self) -> None:
-        """Shut down the shard worker pool, if one was started."""
-        if self._shard_runner is not None:
-            self._shard_runner.close()
-            self._shard_runner = None
+            telemetry.count(
+                "sweep.suppressions", stats.suppressions, protocol=protocol
+            )
+        return stats
 
     # ------------------------------------------------------------------ #
     # Answers
@@ -537,20 +425,18 @@ def engine_for(
     network: SensorNetwork,
     epsilon: float = 0.1,
     energy_model: EnergyModel | None = None,
-    **kwargs,
 ) -> ContinuousQueryEngine:
     """The engine implementation matching ``network.execution``.
 
-    ``"vectorized"`` and ``"sharded"`` networks get a
-    :class:`VectorStreamEngine`; everything else (and any environment
-    without numpy, after a one-time fallback warning) gets the reference
-    :class:`ContinuousQueryEngine`.
+    ``"vectorized"`` networks get a :class:`VectorStreamEngine`; everything
+    else (and any environment without numpy, after a one-time fallback
+    warning) gets the reference :class:`ContinuousQueryEngine`.
     """
-    if network.execution in ("vectorized", "sharded"):
+    if network.execution == "vectorized":
         if np is None:
             from repro._util.fastpath import warn_fallback
 
             warn_fallback("vectorized streaming execution")
         else:
-            return VectorStreamEngine(network, epsilon, energy_model, **kwargs)
+            return VectorStreamEngine(network, epsilon, energy_model)
     return ContinuousQueryEngine(network, epsilon, energy_model)

@@ -22,12 +22,11 @@ count-valued summaries (:class:`~repro.streaming.summaries.CountSummary`):
   (``last_delivered``) only on delivery — so lossy radios leave the same
   stale caches the reference leaves.
 
-The same kernel serves three callers: the in-process vectorized engine
-(whole tree, root at position 0), the sharded backend (subtree slices whose
-tops transmit *externally* to the root), and the standalone
-:class:`~repro.network.vector_field.VectorField` used by the million-node
-benchmarks.  Callers own charging: the kernel hands positions and sizes to a
-``charge`` callable and interprets its returned delivery mask.
+The same kernel serves two callers: the vectorized engine and the
+standalone :class:`~repro.network.vector_field.VectorField` used by the
+million-node benchmarks.  Callers own charging: the kernel hands positions
+and sizes to a ``charge`` callable and interprets its returned delivery
+mask.
 
 Exact bit-width arithmetic: the varint widths are computed through
 ``np.frexp``, which recovers ``bit_length`` exactly for magnitudes below
@@ -44,11 +43,8 @@ from repro._util.fastpath import np, require_numpy
 from repro.exceptions import ConfigurationError
 
 #: ``parent`` value marking a node with no parent that must not transmit
-#: (the global root).
+#: (the root).
 NO_PARENT = -1
-#: ``parent`` value marking a shard-local top: its parent exists but lives
-#: outside the local arrays, so its transmissions are delivered externally.
-EXTERNAL_PARENT = -2
 
 #: Largest magnitude whose bit length ``np.frexp`` recovers exactly.
 _EXACT_LIMIT = 1 << 53
@@ -86,7 +82,7 @@ def signed_varint_bits_array(values):
 class SweepState:
     """Per-(node, query) streaming state as parallel ``int64``/bool columns.
 
-    One row per canonical tree position (or shard-local position).  The
+    One row per canonical tree position.  The
     columns mirror the reference engine's ``_NodeQueryState`` fields:
     ``local``/``has_local`` its local summary, ``child_sum`` the sum of the
     cached child summaries (the merge of a count summary is addition, so the
@@ -134,21 +130,6 @@ class SweepState:
             }
         )
 
-    def clear_rows(self, positions) -> None:
-        for name in self.COLUMNS:
-            getattr(self, name)[positions] = 0
-
-    def take(self, positions) -> "SweepState":
-        """Gather a shard-local copy of the given rows."""
-        return SweepState(
-            **{name: getattr(self, name)[positions] for name in self.COLUMNS}
-        )
-
-    def scatter(self, positions, other: "SweepState") -> None:
-        """Write a shard-local copy back into the global rows."""
-        for name in self.COLUMNS:
-            getattr(self, name)[positions] = getattr(other, name)
-
 
 @dataclass
 class SweepResult:
@@ -158,15 +139,11 @@ class SweepResult:
     transmissions: int = 0
     suppressions: int = 0
     levels: int = 0
-    #: Sum of delivered deltas from ``EXTERNAL_PARENT`` tops (shard → root).
-    external_delta: int = 0
-    #: Number of delivered external transmissions.
-    external_count: int = 0
 
 
 #: ``charge(sender_positions, parent_values, sizes)`` charges one level's
 #: transmissions and returns a delivered-mask (or ``None`` for "all
-#: delivered").  ``parent_values`` may contain :data:`EXTERNAL_PARENT`.
+#: delivered").
 ChargeFn = Callable[["np.ndarray", "np.ndarray", "np.ndarray"], "np.ndarray | None"]
 
 
@@ -179,7 +156,6 @@ def sweep_levels(
     slack: float,
     charge: ChargeFn,
     advance_round: Callable[[], None] | None = None,
-    result: SweepResult | None = None,
 ) -> SweepResult:
     """Run one epoch's change-driven convergecast as whole-array level passes.
 
@@ -190,7 +166,7 @@ def sweep_levels(
     ``ledger.advance_round``) fires once per span, matching the reference's
     one-round-per-depth schedule.
     """
-    out = result if result is not None else SweepResult()
+    out = SweepResult()
     for start, end in level_spans:
         out.levels += 1
         window = active[start:end]
@@ -251,16 +227,8 @@ def sweep_levels(
             previous = np.where(
                 state.has_delivered[del_pos], state.last_delivered[del_pos], 0
             )
-            delta = del_sub - previous
-            internal = del_par >= 0
-            if internal.any():
-                targets = del_par[internal]
-                np.add.at(state.child_sum, targets, delta[internal])
-                active[targets] = True
-            external = ~internal
-            if external.any():
-                out.external_delta += int(delta[external].sum())
-                out.external_count += int(external.sum())
+            np.add.at(state.child_sum, del_par, del_sub - previous)
+            active[del_par] = True
             state.last_delivered[del_pos] = del_sub
             state.has_delivered[del_pos] = True
         if advance_round is not None:

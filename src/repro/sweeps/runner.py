@@ -1,7 +1,6 @@
 """The sweep executor: content-addressed caching plus a fork worker pool.
 
-Execution strategy, in the worker pattern of
-:class:`repro.network.sharding.ShardRunner`:
+Execution strategy:
 
 1. :meth:`SweepRunner.run` expands the spec, then partitions the matrix
    into *cached* cells (a valid result file exists under the cell's

@@ -83,10 +83,11 @@ class Constraint:
     * kept only if, for every axis named in ``require``, the cell's value
       is among the allowed values.
 
-    The canonical example — the sharded backend refuses lossy radios::
+    The canonical example — heartbeats detect node crashes, so a charged
+    detector on the link-only ``link_storm`` scenario measures nothing::
 
-        Constraint(when={"execution": ("sharded",)},
-                   require={"radio": ("reliable",)})
+        Constraint(when={"scenario": ("link_storm",)},
+                   require={"detector_period": (None,)})
     """
 
     when: dict[str, tuple] = field(default_factory=dict)

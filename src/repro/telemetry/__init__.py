@@ -34,11 +34,8 @@ The causal diagnosis layer builds on those three:
 The epoch pipeline emits a stable span vocabulary: ``epoch`` wraps each
 fault-runner step, with ``detect`` / ``election`` / ``repair`` / ``stream``
 phases nested inside and one ``convergecast`` span per standing query.  The
-vectorized paths reuse the same names (so phase tables line up across
-execution modes) and add two of their own under ``stream``:
-``shard.sweep`` (the fan-out of subtree slices to shard workers) and
-``shard.merge`` (the single per-epoch fold of worker ledgers into the
-network ledger).
+vectorized path reuses the same names, so phase tables line up across
+execution modes.
 
 Install a tracer on a network to light everything up::
 

@@ -15,7 +15,7 @@ network pays for each distinct aggregate once:
   per-tenant :class:`~repro.network.CommunicationLedger` split whose
   tenant columns sum *exactly* to the shared plan's charged bits;
 * :mod:`repro.tenancy.engine` — :class:`MultiTenantEngine`, the runtime:
-  one underlying engine (batched / per-edge / vectorized / sharded via
+  one underlying engine (batched / per-edge / vectorized via
   :func:`~repro.streaming.engine_for`), per-epoch splits, per-tenant
   answers derived at the root from the shared summaries.
 

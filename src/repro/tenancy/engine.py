@@ -2,8 +2,8 @@
 
 :class:`MultiTenantEngine` is the runtime half of the tenancy layer.  It
 owns one underlying streaming engine — picked per the network's execution
-mode by :func:`~repro.streaming.engine_for`, so batched, per-edge,
-vectorized and sharded networks all work — and drives it through the
+mode by :func:`~repro.streaming.engine_for`, so batched, per-edge and
+vectorized networks all work — and drives it through the
 shared plan the :class:`~repro.tenancy.QueryPlanner` maintains:
 
 * :meth:`register` admits a tenant's query through the planner; only a
@@ -56,10 +56,9 @@ class MultiTenantEngine:
         epsilon: float = 0.1,
         energy_model: EnergyModel | None = None,
         bits_budget: int | None = None,
-        **engine_kwargs: Any,
     ) -> None:
         self.network = network
-        self.engine = engine_for(network, epsilon, energy_model, **engine_kwargs)
+        self.engine = engine_for(network, epsilon, energy_model)
         self.planner = QueryPlanner(
             num_nodes=network.num_nodes, bits_budget=bits_budget
         )
@@ -174,12 +173,6 @@ class MultiTenantEngine:
     def queries(self) -> dict[str, StandingQuery]:
         """The shared plan's leg queries (what the network actually runs)."""
         return self.engine.queries()
-
-    def close(self) -> None:
-        """Release underlying resources (sharded worker pools)."""
-        close = getattr(self.engine, "close", None)
-        if close is not None:
-            close()
 
     @property
     def trace(self) -> StreamingTrace:

@@ -6,6 +6,8 @@ cross-path ledger equivalence property is in
 ``tests/test_execution_equivalence.py``.
 """
 
+import re
+
 import pytest
 
 from repro.exceptions import (
@@ -359,8 +361,10 @@ class TestExecutionMode:
 
     def test_modes_validated(self):
         network = build_network(4, topology="line")
-        with pytest.raises(ConfigurationError):
-            network.execution = "warp-speed"
+        # "sharded" is a removed mode: it must fail like any unknown one.
+        for unknown in ("warp-speed", "sharded"):
+            with pytest.raises(ConfigurationError, match=re.escape(repr(EXECUTION_MODES))):
+                network.execution = unknown
         with pytest.raises(ConfigurationError):
             SensorNetwork.from_items([1, 2], topology="line", execution="bogus")
         for mode in EXECUTION_MODES:

@@ -113,8 +113,6 @@ def storm_run(execution="batched", epochs=12, **tracer_kwargs):
     trace = run_faulty_stream(
         engine, stream, faults, epochs=epochs, telemetry=tracer
     )
-    if hasattr(engine, "close"):
-        engine.close()
     return network, tracer, trace
 
 
@@ -445,7 +443,6 @@ class TestVectorizedReconciliation:
         trace = run_faulty_stream(
             engine, stream, faults, epochs=8, telemetry=tracer
         )
-        engine.close()
         epochs = tracer.spans_named("epoch")
         assert len(epochs) == 8
         for span, record in zip(epochs, trace):
@@ -458,31 +455,6 @@ class TestVectorizedReconciliation:
             assert attributed.node_bits == 2 * span.bits
         assert tracer.flight.events_of("fault.injected")
         assert tracer.flight.events_of("detect.miss")
-
-    def test_sharded_sweep_spans_carry_per_shard_breakdown(self):
-        from repro.streaming.vector_engine import VectorStreamEngine
-
-        network = SensorNetwork.from_items(
-            [0] * 64, topology="grid", execution="sharded"
-        )
-        network.clear_items()
-        engine = VectorStreamEngine(network, epsilon=0.1, shard_processes=0)
-        engine.register("count", CountQuery())
-        tracer = SpanTracer()
-        network.telemetry = tracer
-        engine.advance_epoch({node: [1, 2] for node in range(0, 64, 3)})
-        engine.close()
-        sweeps = tracer.spans_named("shard.sweep")
-        assert sweeps
-        for span in sweeps:
-            nodes = span.attributes["shard_nodes"]
-            assert nodes and all(int(count) > 0 for count in nodes.values())
-            assert set(span.attributes["shard_bits"]) == set(nodes)
-            assert span.attributes["dispatched"] == len(nodes)
-        merges = tracer.spans_named("shard.merge")
-        assert merges and all(
-            s.attributes["shards"] >= 1 for s in merges if s.attributes
-        )
 
     def test_vector_field_crash_epoch_reconciles(self):
         from repro.network.vector_field import VectorField
@@ -579,7 +551,6 @@ class TestOverheadGuard:
         run_faulty_stream(
             engine, stream, faults, epochs=self.EPOCHS, telemetry=telemetry
         )
-        engine.close()
         elapsed = time.perf_counter() - started
         return network.ledger.total_bits, elapsed
 

@@ -83,24 +83,24 @@ class TestExpansion:
     def test_require_constraint_prunes_matching_cells(self):
         spec = SweepSpec(
             name="constrained",
-            experiment="streaming",
+            experiment="fault_tolerance",
             axes={
-                "execution": ("batched", "sharded"),
-                "radio": ("reliable", "lossy"),
+                "scenario": ("crash_storm", "link_storm"),
+                "detector_period": (None, 4),
             },
             constraints=(
                 Constraint(
-                    when={"execution": ("sharded",)},
-                    require={"radio": ("reliable",)},
+                    when={"scenario": ("link_storm",)},
+                    require={"detector_period": (None,)},
                 ),
             ),
         )
         cells = spec.expand()
         assert len(cells) == 3
         assert all(
-            cell.params["radio"] == "reliable"
+            cell.params["detector_period"] is None
             for cell in cells
-            if cell.params["execution"] == "sharded"
+            if cell.params["scenario"] == "link_storm"
         )
 
     def test_drop_constraint(self):
