@@ -394,6 +394,25 @@ class TestStreamingEquivalence:
             fault_script=script, epochs=6, num_nodes=num_nodes,
         )
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_vectorized_storms_at_scale(self, seed):
+        """A 100-node random-geometric field: crash storm plus churn."""
+        from repro.workloads.faults import crash_storm_script, churn_script
+
+        def script(network):
+            return crash_storm_script(
+                network.node_ids(), epoch=1, fraction=0.15, seed=seed, rejoin_epoch=3
+            ).merge(
+                churn_script(network.node_ids(), epochs=6, churn_rate=0.05, seed=seed)
+            )
+
+        self._twin_run(
+            "vectorized", "random_geometric", "reliable", seed,
+            fault_script=script, epochs=6, num_nodes=100,
+        )
+
+
 # --------------------------------------------------------------------------- #
 # VectorField: the standalone million-node surface
 # --------------------------------------------------------------------------- #
