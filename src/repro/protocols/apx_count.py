@@ -15,12 +15,26 @@ Two counting modes are supported:
 * ``"distinct"`` — items contribute the hash of their value, so duplicates
   collapse (this is the approximate COUNT DISTINCT of Section 5, and it also
   makes the protocol duplicate-insensitive at the transport level).
+
+Execution paths.  The per-edge path runs the real tree merge through
+:func:`~repro.protocols.convergecast.convergecast` — one sketch per node,
+merged edge by edge — and is the reference oracle.  The batched and
+vectorized paths fold every node's matching items straight into one sketch
+and charge the sweep with
+:func:`~repro.protocols.convergecast.charge_up_sweep`.  The two are
+bit-identical: merge is a register-wise max, which is associative,
+commutative and idempotent, so the root's registers do not depend on tree
+shape or merge order; each node draws from the same per-node stream (or
+hashes the same values) on both paths; and the sketch's wire size is a
+constant, so the ledger charges and the radio's random draws over
+``flat.up_links`` are exactly those of the tree merge.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro._util.randomness import make_rng
 from repro._util.validation import require_positive
@@ -29,7 +43,7 @@ from repro.network.node import SensorNode
 from repro.network.simulator import SensorNetwork
 from repro.protocols.base import ItemView, MeteredRun, ProtocolResult, raw_items
 from repro.protocols.broadcast import broadcast
-from repro.protocols.convergecast import convergecast
+from repro.protocols.convergecast import charge_up_sweep, convergecast
 from repro.protocols.predicates import AllItemsPredicate, Predicate
 from repro.sketches.hashing import hash64
 from repro.sketches.hyperloglog import HyperLogLogSketch
@@ -102,20 +116,31 @@ class ApproxCountProtocol:
         sketch_cls = _SKETCH_TYPES[self.sketch_type]
         return sketch_cls(num_registers=self.num_registers, salt=salt)
 
-    def _local_sketch(
-        self, node: SensorNode, salt: int, predicate: Predicate, view: ItemView
+    def _sketch_of(
+        self,
+        nodes: Iterable[SensorNode],
+        salt: int,
+        predicate: Predicate,
+        view: ItemView,
     ):
+        """One sketch holding the matching items of every node in ``nodes``."""
         sketch = self._empty_sketch(salt)
-        matching = [value for value in view(node) if predicate(value)]
-        if self.mode == "distinct":
-            for value in matching:
-                sketch.add_item(value)
-        else:
-            # Fresh per-(node, item, salt) randomness so every item counts once
-            # per invocation and invocations are mutually independent.
-            node_rng = random.Random(hash64(node.node_id * 1_000_003 + salt, salt=salt))
-            for _ in matching:
-                sketch.add_random(node_rng)
+        distinct = self.mode == "distinct"
+        for node in nodes:
+            matching = [value for value in view(node) if predicate(value)]
+            if not matching:
+                continue
+            if distinct:
+                for value in matching:
+                    sketch.add_item(value)
+            else:
+                # Fresh per-(node, item, salt) randomness so every item counts
+                # once per invocation and invocations are mutually independent.
+                node_rng = random.Random(
+                    hash64(node.node_id * 1_000_003 + salt, salt=salt)
+                )
+                for _ in matching:
+                    sketch.add_random(node_rng)
         return sketch
 
     @property
@@ -146,15 +171,25 @@ class ApproxCountProtocol:
                 _SALT_BITS + effective_predicate.encoded_bits(),
                 protocol="APX_COUNT",
             )
-            merged = convergecast(
-                network,
-                lambda node: self._local_sketch(
-                    node, salt, effective_predicate, effective_view
-                ),
-                lambda a, b: a.merge(b),
-                sketch_bits,
-                protocol="APX_COUNT",
-            )
+            if network.execution == "per-edge":
+                merged = convergecast(
+                    network,
+                    lambda node: self._sketch_of(
+                        (node,), salt, effective_predicate, effective_view
+                    ),
+                    lambda a, b: a.merge(b),
+                    sketch_bits,
+                    protocol="APX_COUNT",
+                )
+            else:
+                nodes = network.node_map
+                merged = self._sketch_of(
+                    (nodes[node_id] for node_id in network.flat_tree.node_ids),
+                    salt,
+                    effective_predicate,
+                    effective_view,
+                )
+                charge_up_sweep(network, sketch_bits, "APX_COUNT")
             result = ApproxCountResult(
                 estimate=merged.estimate(),
                 relative_sigma=merged.relative_sigma,

@@ -8,9 +8,10 @@ receives ``O(size_bits)`` bits, which is what Fact 2.1 charges for the request
 phase of the primitive protocols.
 
 As with :mod:`~repro.protocols.convergecast`, two execution paths implement
-the same traversal: the batched path (default) expands the whole top-down
-sweep into one :meth:`~repro.network.SensorNetwork.send_down_tree` call,
-while the per-edge path sends edge by edge.  They charge the same edges in
+the same traversal: the batched path (default) charges the whole top-down
+sweep over the precomputed ``flat_tree.down_links`` in one
+:meth:`~repro.network.SensorNetwork.send_batch` call, while the per-edge
+path sends edge by edge.  They charge the same edges in
 the same order and are bit-for-bit ledger-equivalent.
 """
 

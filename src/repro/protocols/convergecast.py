@@ -16,9 +16,11 @@ Two execution paths implement the same traversal, selected by
 ``network.execution``:
 
 * *batched* (default) — walks the :class:`~repro.network.flat_tree.FlatTree`
-  arrays, collects every upward transmission of the sweep, and charges them
-  in one :meth:`~repro.network.SensorNetwork.send_up_tree` call.  This is
-  what lets the simulator run 100k-node fields.
+  arrays, collects the size of every upward transmission of the sweep, and
+  charges them over the precomputed ``flat.up_links`` in one
+  :meth:`~repro.network.SensorNetwork.send_batch` call
+  (:func:`charge_up_sweep`).  This is what lets the simulator run 100k-node
+  fields.
 * *per-edge* — the reference implementation: one
   :meth:`~repro.network.SensorNetwork.send` per tree edge.
 
@@ -89,11 +91,28 @@ def _convergecast_batched(
         values[position] = value
         if adaptive and parent[position] >= 0:
             append_size(size_bits(value))
-    if not adaptive:
-        sizes = [size_bits] * len(flat.up_links)
-    network.send_batch(flat.up_links, sizes, protocol=protocol, require_edge=False)
-    network.ledger.advance_round(flat.height)
+    charge_up_sweep(network, sizes if adaptive else size_bits, protocol)
     return values[0]  # the root has canonical index 0
+
+
+def charge_up_sweep(
+    network: SensorNetwork, size_bits: int | list[int], protocol: str
+) -> None:
+    """Charge one full bottom-up sweep: every non-root node sends once.
+
+    The links are ``flat.up_links`` — the per-edge convergecast's
+    transmission order — and ``size_bits`` is either one constant size or
+    a list of one size per link.  The sweep consumes ``flat.height``
+    synchronous rounds.
+    Callers that compute the root's aggregate without a tree walk (the
+    batched APX_COUNT fold) charge through here so their ledger and radio
+    draws are exactly those of :func:`convergecast`.
+    """
+    flat = network.flat_tree
+    links = flat.up_links
+    sizes = size_bits if isinstance(size_bits, list) else [size_bits] * len(links)
+    network.send_batch(links, sizes, protocol=protocol, require_edge=False)
+    network.ledger.advance_round(flat.height)
 
 
 def _convergecast_per_edge(

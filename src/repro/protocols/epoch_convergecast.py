@@ -17,8 +17,8 @@ one place while this module owns scheduling and charging.
 
 Two execution paths implement the rounds, selected by ``network.execution``:
 the batched path (default) sweeps one tree level per round and charges each
-round's transmissions in a single
-:meth:`~repro.network.SensorNetwork.send_up_tree` call; the per-edge path
+round's transmissions — the round's child→parent links — in a single
+:meth:`~repro.network.SensorNetwork.send_batch` call; the per-edge path
 runs the rounds on :class:`~repro.network.RoundEngine` with one
 :meth:`~repro.network.SensorNetwork.send` per transmission.  Both visit the
 active nodes of a round in ascending id order (the round engine's iteration

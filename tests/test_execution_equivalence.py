@@ -1,4 +1,4 @@
-"""Cross-path ledger equivalence: batched vs per-edge execution.
+"""Cross-path ledger equivalence: batched (and vectorized) vs per-edge execution.
 
 The batched execution core's contract is that it is *indistinguishable* from
 the per-edge reference in everything the paper measures: the same per-node
@@ -14,9 +14,15 @@ import random
 import pytest
 
 from repro.core.median import DeterministicMedianProtocol
-from repro.network.radio import DuplicatingRadio, LossyRadio, ReliableRadio
+from repro.network.radio import (
+    DELIVERED_ONCE,
+    DuplicatingRadio,
+    LossyRadio,
+    ReliableRadio,
+)
 from repro.network.simulator import SensorNetwork
 from repro.protocols.aggregates import CountProtocol, SumProtocol
+from repro.protocols.base import ProtocolResult
 from repro.protocols.broadcast import broadcast
 from repro.protocols.convergecast import convergecast
 from repro.protocols.epoch_convergecast import epoch_convergecast
@@ -559,3 +565,159 @@ def test_multitenant_plan_and_split_identical_across_vectorized(radio_name, seed
         )
     assert batched.plan_bits() == vectorized.plan_bits()
     assert_ledgers_identical(*networks)
+
+
+# --------------------------------------------------------------------------- #
+# APX_COUNT and the protocols built on it: per-edge vs batched vs vectorized
+# --------------------------------------------------------------------------- #
+# The per-edge path merges one sketch per node up the tree; the batched and
+# vectorized paths fold every node's items into one root sketch and charge
+# the same sweep.  These suites hold the fold to the tree merge.
+
+PATHS = ("per-edge", "batched", "vectorized")
+APX_DOMAIN = 400
+
+
+def triplet_networks(topology, radio_factory, seed, num_nodes=36):
+    """One network per execution path; nodes hold 0, 1 or 2 items."""
+    rng = random.Random(seed * 4099 + 11)
+    per_node = [
+        [rng.randrange(1, APX_DOMAIN) for _ in range(rng.randrange(3))]
+        for _ in range(num_nodes)
+    ]
+    networks = []
+    for mode in PATHS:
+        network = SensorNetwork.from_items(
+            [0] * num_nodes,
+            topology=topology,
+            seed=seed,
+            radio=radio_factory(seed),
+            execution=mode,
+        )
+        network.assign_items(
+            {node_id: per_node[i] for i, node_id in enumerate(network.node_ids())}
+        )
+        networks.append(network)
+    return networks
+
+
+def apx_protocol_runs(seed):
+    """Fresh, identically seeded APX-family invocations, in run order."""
+    from repro.core.apx_median import ApproximateMedianProtocol
+    from repro.core.apx_median2 import PolyloglogMedianProtocol
+    from repro.core.rep_count import RepeatedApproxCount
+    from repro.distinct import ApproxDistinctCountProtocol
+    from repro.protocols.apx_count import ApproxCountProtocol
+    from repro.protocols.predicates import LessThanPredicate
+
+    # Matches nothing at empty nodes and at nodes whose items are all >= 150.
+    below = LessThanPredicate(150, domain_max=APX_DOMAIN)
+    runs = []
+    for mode in ("multiset", "distinct"):
+        for sketch in ("loglog", "hyperloglog"):
+            counter = ApproxCountProtocol(
+                num_registers=16, mode=mode, sketch=sketch, predicate=below, seed=seed
+            )
+            runs.append(counter.run)
+    rep_count = RepeatedApproxCount(ApproxCountProtocol(num_registers=16, seed=seed))
+    runs.append(lambda network: rep_count.run(network, 3, below))
+    runs.append(
+        ApproximateMedianProtocol(
+            num_registers=16, domain_max=APX_DOMAIN, seed=seed
+        ).run
+    )
+    runs.append(
+        PolyloglogMedianProtocol(
+            num_registers=16, domain_max=APX_DOMAIN, seed=seed
+        ).run
+    )
+    runs.append(
+        ApproxDistinctCountProtocol(num_registers=16, sketch="hyperloglog", seed=seed).run
+    )
+    return runs
+
+
+def run_recording_errors(network, runs):
+    """Run each invocation; a raised error is recorded and the next one runs."""
+    from repro.exceptions import ReproError
+
+    outcomes = []
+    for run in runs:
+        try:
+            outcomes.append(run(network))
+        except ReproError as error:
+            outcomes.append(type(error).__name__)
+        outcomes.append(network.ledger.total_bits)
+    return outcomes
+
+
+def assert_radios_identical(networks):
+    states = [
+        network.radio._rng.getstate()
+        for network in networks
+        if hasattr(network.radio, "_rng")
+    ]
+    assert all(state == states[0] for state in states)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("radio_name", sorted(RADIOS))
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_apx_family_is_identical_on_every_path(topology, radio_name, seed):
+    """APX_COUNT (multiset/distinct × LogLog/HLL), REP_COUNTP, APX_MEDIAN,
+    APX_MEDIAN2 and approximate COUNT DISTINCT: answers and full ledgers."""
+    networks = triplet_networks(topology, RADIOS[radio_name], seed)
+    outcomes = [
+        run_recording_errors(network, apx_protocol_runs(seed)) for network in networks
+    ]
+    reference = outcomes[0]
+    assert any(isinstance(entry, ProtocolResult) for entry in reference)
+    for other in outcomes[1:]:
+        assert other == reference
+    for other in networks[1:]:
+        assert_ledgers_identical(other, networks[0])
+    assert_radios_identical(networks)
+
+
+class UplinkLossyRadio(LossyRadio):
+    """Lossy on child→parent links only, so failures land in the upward sweep."""
+
+    tree = None  # installed once the network's spanning tree exists
+
+    def transmit(self, sender, receiver):
+        if self.tree.parent.get(sender) != receiver:
+            return DELIVERED_ONCE
+        return super().transmit(sender, receiver)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("mode", ["multiset", "distinct"])
+def test_apx_count_delivery_failure_charges_identical_prefix(mode, seed):
+    """A mid-sweep DeliveryError charges the same prefix on every path."""
+    from repro.exceptions import DeliveryError
+    from repro.protocols.apx_count import ApproxCountProtocol
+
+    networks = triplet_networks(
+        "grid",
+        lambda radio_seed: UplinkLossyRadio(0.5, seed=radio_seed, max_retries=1),
+        seed,
+        num_nodes=25,
+    )
+    outcomes = []
+    for network in networks:
+        network.radio.tree = network.tree
+        counter = ApproxCountProtocol(num_registers=16, mode=mode, seed=seed)
+        record = []
+        for _ in range(6):
+            try:
+                record.append(counter.run(network))
+            except DeliveryError:
+                record.append(None)
+            record.append(network.ledger.snapshot())
+        outcomes.append(record)
+    assert None in outcomes[0], "a 25% per-link failure rate must fail a sweep"
+    for other in outcomes[1:]:
+        assert other == outcomes[0]
+    for other in networks[1:]:
+        assert_ledgers_identical(other, networks[0])
+    assert_radios_identical(networks)

@@ -5,10 +5,11 @@ The load-bearing assertions are the *reconciliation* tests: summing span
 :class:`~repro.faults.FaultTrace` charged that epoch — on both execution
 paths — and the per-phase spans reproduce the trace's accounting columns
 exactly.  The overhead guard then shows the instrumentation costs nothing
-when disabled: zero extra ledger bits and near-zero wall-clock.
+when disabled: zero extra ledger bits, and not one call reaches a disabled
+recorder from the hooks gated on ``recorder.enabled``.
 """
 
-import time
+from collections import Counter
 
 import pytest
 
@@ -355,6 +356,27 @@ class TestReconciliation:
         assert [r.answers for r in traced] == [r.answers for r in baseline]
 
 
+class CountingRecorder(NullRecorder):
+    """A disabled recorder that counts the calls of the gated hooks."""
+
+    def __init__(self) -> None:
+        self.enabled = False
+        self.calls: Counter[str] = Counter()
+
+    def count(self, name, value=1, **labels):
+        self.calls["count"] += 1
+
+    def gauge(self, name, value, **labels):
+        self.calls["gauge"] += 1
+
+    def observe(self, name, value, **labels):
+        self.calls["observe"] += 1
+
+    def event(self, kind, *, node=None, cause=None, **attributes):
+        self.calls["event"] += 1
+        return None
+
+
 class TestOverheadGuard:
     """With the null recorder, instrumentation must be free."""
 
@@ -375,7 +397,6 @@ class TestOverheadGuard:
 
     def run_once(self, telemetry):
         engine, stream, faults = self.big_setup()
-        started = time.perf_counter()
         trace = run_faulty_stream(
             engine,
             stream,
@@ -384,30 +405,27 @@ class TestOverheadGuard:
             compute_truth=False,
             telemetry=telemetry,
         )
-        elapsed = time.perf_counter() - started
-        return trace.total_bits, engine.network.ledger.total_bits, elapsed
+        return trace.total_bits, engine.network.ledger.total_bits
 
     @pytest.mark.slow
     def test_null_recorder_charges_zero_extra_bits(self):
-        default_bits, default_ledger, _ = self.run_once(None)
-        null_bits, null_ledger, _ = self.run_once(NullRecorder())
-        traced_bits, traced_ledger, _ = self.run_once(SpanTracer())
+        default_bits, default_ledger = self.run_once(None)
+        null_bits, null_ledger = self.run_once(NullRecorder())
+        traced_bits, traced_ledger = self.run_once(SpanTracer())
         assert default_bits == null_bits == traced_bits
         assert default_ledger == null_ledger == traced_ledger
 
     @pytest.mark.slow
-    def test_null_recorder_wall_clock_within_tolerance(self):
-        # Interleaved best-of-3; re-measure up to 3 times before failing so
-        # a single scheduler hiccup cannot flake the guard.
-        for attempt in range(3):
-            base_times, null_times = [], []
-            for _ in range(3):
-                base_times.append(self.run_once(None)[2])
-                null_times.append(self.run_once(NullRecorder())[2])
-            base, null = min(base_times), min(null_times)
-            if null <= base * 1.05:
-                return
-        pytest.fail(
-            f"NullRecorder run took {null:.4f}s vs {base:.4f}s baseline "
-            f"(> 5% overhead)"
-        )
+    def test_disabled_recorder_receives_no_gated_hook_calls(self):
+        # The hot-path hooks are gated on ``recorder.enabled``; with the gate
+        # shut none of them may reach the recorder.  The enabled twin shows
+        # the same run does drive those hooks, so the zero is not vacuous.
+        disabled = CountingRecorder()
+        self.run_once(disabled)
+        assert disabled.calls == {}
+
+        enabled = CountingRecorder()
+        enabled.enabled = True
+        self.run_once(enabled)
+        assert enabled.calls["count"] > 0
+        assert enabled.calls["observe"] > 0
